@@ -65,6 +65,7 @@
 //! incrementally at every slot transition (grant, release, PR completion, item
 //! completion, switch trigger/completion); every policy-facing query
 //! ([`SharingSimulator::free_slot_count`],
+//! [`SharingSimulator::any_free_slot`],
 //! [`SharingSimulator::first_grantable_slot`],
 //! [`SharingSimulator::grantable_slots`]) is popcounts and trailing-zeros over
 //! lazily-ANDed words, with a non-allocating iterator.
@@ -588,6 +589,13 @@ impl SharingSimulator {
             Some(&self.index.kind[kind_bit(kind)]),
         )
         .count() as u32
+    }
+
+    /// Whether any slot on any board is free, enabled or not — a superset of
+    /// every grantable-slot query (home-board drain exception included), so
+    /// `false` proves no application can be granted anything.  A word scan.
+    pub fn any_free_slot(&self) -> bool {
+        !self.index.free.is_empty()
     }
 
     /// Combined-mask query for the slots grantable to `app` right now: free

@@ -37,6 +37,9 @@ impl Policy for FcfsPolicy {
     }
 
     fn schedule(&mut self, sim: &mut SharingSimulator) {
+        if super::nothing_grantable(sim) {
+            return;
+        }
         // Arrival order == AppId order; the engine's active set is already sorted
         // by identifier.
         self.scratch.clear();

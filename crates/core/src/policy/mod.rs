@@ -18,13 +18,40 @@
 //!
 //! # Hot-path discipline
 //!
-//! A scheduling pass runs after *every* simulation event, so the policies avoid
-//! heap allocation in steady state: slot probes go through the engine's O(1)
-//! indexed API ([`SharingSimulator::first_grantable_slot`],
-//! [`SharingSimulator::has_grantable_slot`],
-//! [`SharingSimulator::grantable_slots`]) instead of materialising candidate
-//! vectors, and each policy keeps reusable scratch buffers for the application
-//! lists it sorts.
+//! The engine runs one scheduling pass per simulation *instant*: it applies
+//! every event that shares a timestamp, then calls [`Policy::schedule`] once
+//! (see the batched drain in [`crate::engine`]).  The policies keep that pass
+//! cheap in three ways.
+//!
+//! * **No-free-slot early exit.**  Above capacity, most passes find every slot
+//!   on every board occupied.  Every slot-granting policy asks
+//!   `nothing_grantable` right after its preemption step (FCFS, which never
+//!   preempts, at the top of its pass) and returns when it holds.  The exit is
+//!   exact, not a heuristic:
+//!   - the engine's free mask ([`SharingSimulator::any_free_slot`]) is a
+//!     superset of every grantable query, home-board drain exception included,
+//!     so with it empty every [`SharingSimulator::first_grantable_slot`] probe
+//!     returns `None` and the full pass would grant nothing;
+//!   - only a grant moves an application out of `Waiting`, so one waiting at
+//!     a skipped pass is still waiting at the next full pass;
+//!   - what else a full pass does is policy-private bookkeeping that the next
+//!     full pass redoes before reading it (VersaSlot: registering arrivals into
+//!     `C_wait`, re-sorting it, pruning finished applications);
+//!   - [`sort_by_priority`] is a total order (priority, then id), so the order
+//!     its input arrives in never matters.
+//!
+//!   Preemption stays before the exit because it may free a slot.  Debug
+//!   builds check the premise against every active application.
+//! * **No allocation in steady state.**  Slot probes go through the engine's
+//!   indexed API ([`SharingSimulator::first_grantable_slot`],
+//!   [`SharingSimulator::has_grantable_slot`],
+//!   [`SharingSimulator::grantable_slots`]) instead of materialising candidate
+//!   vectors, and each policy keeps reusable scratch buffers for the
+//!   application lists it sorts ([`ScratchMeter`] counts their growth).
+//! * **No quadratic scans.**  A full pass reads per-application facts in O(1)
+//!   or O(log n): engine counters and SoA columns, and (in VersaSlot) tags
+//!   saying which allocator list holds each application.  What stays O(n) per
+//!   full pass is building the per-pass tables and sorting the candidates.
 
 pub mod fcfs;
 pub mod nimblock;
@@ -126,6 +153,25 @@ pub fn sort_by_priority(
     });
     list.clear();
     list.extend(keyed.iter().map(|&(_, app)| app));
+}
+
+/// The shared early exit: `true` when no slot is free on any board, so a
+/// scheduling pass would grant nothing and may return at once (see the module
+/// docs for why skipping the rest of the pass is exact).
+///
+/// Debug builds check the premise: no active application has a grantable slot
+/// of either kind.
+pub(crate) fn nothing_grantable(sim: &SharingSimulator) -> bool {
+    if sim.any_free_slot() {
+        return false;
+    }
+    debug_assert!(
+        sim.active_apps()
+            .iter()
+            .all(|&app| !sim.has_grantable_slot(app, None)),
+        "a slot is grantable although no slot is free"
+    );
+    true
 }
 
 /// Grants up to `want` Little slots to `app`, returning how many grants succeeded.
@@ -302,6 +348,44 @@ mod tests {
             "expected preemption PRs, got {}",
             report.total_pr
         );
+    }
+
+    /// The optimal-slot caches are keyed by `(suite index, batch)`, not by
+    /// application, so a long service run keeps them bounded by the suite size
+    /// times the distinct batch sizes however many applications pass through.
+    #[test]
+    fn optimal_slot_caches_stay_bounded_in_service_runs() {
+        use crate::policy::nimblock::NimblockPolicy;
+        use crate::policy::versaslot::VersaSlotPolicy;
+        use crate::service::{ServiceConfig, ServiceRunner, StopCondition};
+        use versaslot_workload::ArrivalProcess;
+
+        let mut config = ServiceConfig::new(ArrivalProcess::Poisson { rate_per_sec: 0.6 })
+            .with_stop(StopCondition::Horizon(
+                versaslot_sim::SimDuration::from_secs(300),
+            ));
+        config.batch_range = (5, 6);
+        let bound = BenchmarkApp::suite().len() * 2;
+        let run = |policy: &mut dyn Policy| {
+            let mut runner = ServiceRunner::new(
+                SystemConfig::single_board(BoardSpec::zcu216_big_little()),
+                BenchmarkApp::suite(),
+                config,
+            );
+            let report = runner.run(policy);
+            assert!(
+                report.arrivals_admitted as usize > 4 * bound,
+                "run too short to show the bound: {} apps",
+                report.arrivals_admitted
+            );
+        };
+
+        let mut versaslot = VersaSlotPolicy::new();
+        run(&mut versaslot);
+        assert!(versaslot.optimal_cache_len() <= bound);
+        let mut nimblock = NimblockPolicy::new();
+        run(&mut nimblock);
+        assert!(nimblock.optimal_cache_len() <= bound);
     }
 
     /// The scratch audit: after one warm-up run has grown every reusable buffer

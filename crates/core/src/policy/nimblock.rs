@@ -25,7 +25,9 @@ use crate::ilp::optimal_little_slots;
 /// Nimblock-style priority + optimal-slot-count policy (single-core comparator).
 #[derive(Debug, Clone, Default)]
 pub struct NimblockPolicy {
-    optimal_cache: BTreeMap<AppId, u32>,
+    /// `O_L` per `(suite index, batch)`: it depends on nothing else, so the
+    /// cache stays bounded by the suite size times the distinct batch sizes.
+    optimal_cache: BTreeMap<(usize, u32), u32>,
     /// Reusable priority-sorted application list (no steady-state allocation).
     scratch: Vec<AppId>,
     /// Reusable (priority, id) pairs so each priority is computed once per pass.
@@ -39,14 +41,18 @@ impl NimblockPolicy {
         NimblockPolicy::default()
     }
 
+    /// Number of cached `O_L` values.
+    #[cfg(test)]
+    pub(crate) fn optimal_cache_len(&self) -> usize {
+        self.optimal_cache.len()
+    }
+
     fn optimal_slots(&mut self, sim: &SharingSimulator, app: AppId) -> u32 {
-        if let Some(cached) = self.optimal_cache.get(&app) {
-            return *cached;
-        }
-        let spec = sim.spec_of(app);
-        let value = optimal_little_slots(spec, sim.app(app).batch);
-        self.optimal_cache.insert(app, value);
-        value
+        let runtime = sim.app(app);
+        *self
+            .optimal_cache
+            .entry((runtime.app_index, runtime.batch))
+            .or_insert_with(|| optimal_little_slots(sim.spec_of(app), runtime.batch))
     }
 }
 
@@ -67,6 +73,9 @@ impl Policy for NimblockPolicy {
         // Nimblock preempts long-running applications so waiting applications are
         // not starved; preemption happens at item boundaries after a quantum.
         super::preempt_for_starving_apps(sim, super::PREEMPTION_QUANTUM);
+        if super::nothing_grantable(sim) {
+            return;
+        }
 
         // Priority with ageing (see `ageing_priority`): each priority is computed
         // once from the SoA columns, then the list is sorted on the cached keys.

@@ -45,6 +45,9 @@ impl Policy for RoundRobinPolicy {
         // Round-robin time-slices the fabric: once a resident task has used up its
         // quantum and another application is starving, its slot rotates onwards.
         super::preempt_for_starving_apps(sim, super::PREEMPTION_QUANTUM);
+        if super::nothing_grantable(sim) {
+            return;
+        }
 
         // Keep handing out one slot per needy application, starting after the last
         // application served, until either slots or demand run out.  The active

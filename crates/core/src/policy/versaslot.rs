@@ -13,6 +13,13 @@
 //!    bundled 3-in-1 task, chosen serial or parallel by the criterion in
 //!    [`crate::bundling`] — and issue the asynchronous PR request.
 //!
+//! A pass that finds no free slot on any board returns right after the
+//! preemption step: it could grant nothing, and the bookkeeping it skips is
+//! redone by the next full pass (the argument is written out in the
+//! `schedule` implementation below and in the [`super`] module docs).  A full pass
+//! reads which allocator list holds an application from per-pass tags aligned
+//! with the id-sorted active list, so it scans no list once per application.
+//!
 //! The batch-execution launching and the decoupled dual-core PR server of
 //! Algorithm 2 are mechanics of the engine itself: launches never wait for PR
 //! completions because the boards this policy is intended for run the dual-core
@@ -31,15 +38,31 @@ use crate::allocation::{allocate, AllocInputs, AllocationState, AppAllocInfo};
 use crate::engine::{AppState, SharingSimulator};
 use crate::ilp::{optimal_big_slots, optimal_little_slots};
 
+/// Where an active application sits in the allocator state this pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Binding {
+    Unbound,
+    /// In `C_wait`.
+    Waiting,
+    /// In `S_Big`.
+    Big,
+    /// In `S_Little`.
+    Little,
+}
+
 /// The VersaSlot slot-allocation and scheduling policy.
 #[derive(Debug, Clone, Default)]
 pub struct VersaSlotPolicy {
     state: AllocationState,
-    optimal_cache: BTreeMap<AppId, (u32, u32)>,
+    /// `(O_B, O_L)` per `(suite index, batch)`: they depend on nothing else, so
+    /// the cache stays bounded by the suite size times the distinct batch sizes.
+    optimal_cache: BTreeMap<(usize, u32), (u32, u32)>,
     /// Reusable Algorithm 1 input table (no steady-state allocation).
     info: AllocInputs,
-    /// Reusable active-application list.
+    /// Reusable active-application list (sorted by id, like the engine's).
     active: Vec<AppId>,
+    /// `tags[i]` is the binding of `active[i]` (see [`Self::tag_bindings`]).
+    tags: Vec<Binding>,
     /// Reusable work-conserving candidate list.
     candidates: Vec<AppId>,
     /// Reusable (priority, id) pairs so each priority is computed once per sort.
@@ -58,17 +81,47 @@ impl VersaSlotPolicy {
         &self.state
     }
 
+    /// Number of cached `(O_B, O_L)` pairs.
+    #[cfg(test)]
+    pub(crate) fn optimal_cache_len(&self) -> usize {
+        self.optimal_cache.len()
+    }
+
     fn optimal(&mut self, sim: &SharingSimulator, app: AppId) -> (u32, u32) {
-        if let Some(cached) = self.optimal_cache.get(&app) {
-            return *cached;
+        let runtime = sim.app(app);
+        *self
+            .optimal_cache
+            .entry((runtime.app_index, runtime.batch))
+            .or_insert_with(|| {
+                let spec = sim.spec_of(app);
+                (
+                    optimal_big_slots(spec),
+                    optimal_little_slots(spec, runtime.batch),
+                )
+            })
+    }
+
+    /// Tags each `active[i]` with the allocator list holding it, so the pass
+    /// reads membership in O(1) instead of scanning `C_wait`, `S_Big` and
+    /// `S_Little` once per application.  `active` is id-sorted, so each listed
+    /// application is found by binary search; listed applications that have
+    /// completed are no longer active and are skipped.
+    fn tag_bindings(&mut self) {
+        self.tags.clear();
+        self.tags.resize(self.active.len(), Binding::Unbound);
+        let lists = [
+            (&self.state.waiting, Binding::Waiting),
+            (&self.state.bound_big, Binding::Big),
+            (&self.state.bound_little, Binding::Little),
+        ];
+        for (list, tag) in lists {
+            for app in list {
+                if let Ok(i) = self.active.binary_search(app) {
+                    debug_assert_eq!(self.tags[i], Binding::Unbound, "{app} in two lists");
+                    self.tags[i] = tag;
+                }
+            }
         }
-        let spec = sim.spec_of(app);
-        let value = (
-            optimal_big_slots(spec),
-            optimal_little_slots(spec, sim.app(app).batch),
-        );
-        self.optimal_cache.insert(app, value);
-        value
     }
 }
 
@@ -82,9 +135,6 @@ impl Policy for VersaSlotPolicy {
     }
 
     fn schedule(&mut self, sim: &mut SharingSimulator) {
-        self.active.clear();
-        self.active.extend_from_slice(sim.active_apps());
-
         // Preemption applies to Little slots only (an application cannot occupy
         // both Big and Little slots, and Big-bound applications finish all their
         // tasks in the Big slot); the shared helper only ever preempts Little
@@ -92,14 +142,30 @@ impl Policy for VersaSlotPolicy {
         // starving application.
         super::preempt_for_starving_apps(sim, super::PREEMPTION_QUANTUM);
 
-        // Register new arrivals with the allocator.
+        // No free slot: the pass below would grant nothing, and the rest of it
+        // is bookkeeping the next full pass redoes before reading it.
+        // * Registration: only a grant takes an application out of `Waiting`,
+        //   so every arrival registered here would still be unbound and
+        //   waiting at the next full pass, and is registered then.
+        // * `C_wait` order: re-sorted at the start of every full pass by a
+        //   total order, so its order before the sort never matters.
+        // * `allocate` with nothing free only prunes finished applications
+        //   from the lists; finished applications are never active again, so
+        //   nothing reads them before the next full pass prunes them.
+        if super::nothing_grantable(sim) {
+            return;
+        }
+
+        self.active.clear();
+        self.active.extend_from_slice(sim.active_apps());
+
+        // Register new arrivals with the allocator: an unbound application is
+        // in no list, `C_wait` included.
+        self.tag_bindings();
         for i in 0..self.active.len() {
             let app = self.active[i];
-            if sim.app(app).state == AppState::Waiting
-                && !self.state.is_bound_big(app)
-                && !self.state.is_bound_little(app)
-            {
-                self.state.add_waiting(app);
+            if self.tags[i] == Binding::Unbound && sim.app(app).state == AppState::Waiting {
+                self.state.waiting.push(app);
             }
         }
 
@@ -177,10 +243,15 @@ impl Policy for VersaSlotPolicy {
         // the allocation-driven grants go to candidate applications (front of the
         // runnable queue first) rather than idling — the paper's redistribution
         // goal of "effectively avoiding slot idling".
+        //
+        // `allocate` moved applications between lists, so tag them afresh.  The
+        // loop below moves only the application it is visiting, and visits each
+        // once, so the tags stay valid for it.
+        self.tag_bindings();
         self.candidates.clear();
         for i in 0..self.active.len() {
             let app = self.active[i];
-            if !self.state.is_bound_big(app) && sim.unplaced_units(app) > 0 {
+            if self.tags[i] != Binding::Big && sim.unplaced_units(app) > 0 {
                 self.candidates.push(app);
             }
         }
@@ -189,7 +260,11 @@ impl Policy for VersaSlotPolicy {
             let app = self.candidates[i];
             // Bundle-capable applications that are still waiting are left for the
             // Big-slot binding of the next pass when a Big slot is available.
-            let still_waiting = self.state.waiting.contains(&app);
+            let at = self
+                .active
+                .binary_search(&app)
+                .expect("candidates are active");
+            let still_waiting = self.tags[at] == Binding::Waiting;
             if still_waiting && sim.can_bundle(app) && sim.free_slot_count(SlotKind::Big) > 0 {
                 continue;
             }
@@ -212,6 +287,7 @@ impl Policy for VersaSlotPolicy {
 
         self.meter.observe(
             self.active.capacity()
+                + self.tags.capacity()
                 + self.candidates.capacity()
                 + self.keyed.capacity()
                 + self.info.capacity()

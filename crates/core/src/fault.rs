@@ -28,11 +28,10 @@ use versaslot_workload::arrival::ArrivalProcess;
 use versaslot_workload::benchmarks::BenchmarkApp;
 
 use crate::config::SystemConfig;
-use crate::par::{parallel_map, Parallelism, WorkerPool};
+use crate::par::{parallel_map, Parallelism};
 use crate::runner::SchedulerKind;
 use crate::service::{
-    run_service_matrix, run_service_matrix_on, service_matrix, ServiceCell, ServiceConfig,
-    ServiceReport, ServiceRunner,
+    run_service_matrix, service_matrix, ServiceCell, ServiceConfig, ServiceReport, ServiceRunner,
 };
 
 /// A named fault scenario of a robustness grid.
@@ -209,7 +208,12 @@ pub fn run_robustness_matrix(
 ) -> RobustnessReport {
     let cells = service_matrix(schedulers, processes, loads);
     let baselines = run_service_matrix(parallelism, &cells, base);
-    let jobs = faulty_jobs(&cells, scenarios);
+    // (cell × scenario), scenario innermost: the order
+    // `assemble_robustness` indexes back into.
+    let jobs: Vec<(ServiceCell, FaultProfile)> = cells
+        .iter()
+        .flat_map(|cell| scenarios.iter().map(|s| (*cell, s.profile)))
+        .collect();
     let base_cfg = *base;
     let faulty = parallel_map(parallelism, &jobs, move |(cell, profile)| {
         run_service_cell_with_faults(cell, *profile, &base_cfg)
@@ -217,43 +221,8 @@ pub fn run_robustness_matrix(
     assemble_robustness(&cells, scenarios, baselines, faulty)
 }
 
-/// [`run_robustness_matrix`] on a persistent [`WorkerPool`]: baselines and
-/// faulty runs both ride [`WorkerPool::map`], so repeated grids reuse the
-/// spawned-once workers while keeping the exact same cell order — and
-/// therefore byte-identical reports.
-pub fn run_robustness_matrix_on(
-    pool: &WorkerPool,
-    schedulers: &[SchedulerKind],
-    processes: &[ArrivalProcess],
-    loads: &[f64],
-    scenarios: &[FaultScenario],
-    base: &ServiceConfig,
-) -> RobustnessReport {
-    let cells = service_matrix(schedulers, processes, loads);
-    let baselines = run_service_matrix_on(pool, &cells, base);
-    let jobs = faulty_jobs(&cells, scenarios);
-    let base_cfg = *base;
-    let faulty = pool.map(jobs, move |(cell, profile)| {
-        run_service_cell_with_faults(&cell, profile, &base_cfg)
-    });
-    assemble_robustness(&cells, scenarios, baselines, faulty)
-}
-
-/// The (cell × scenario) job list, scenario-innermost — the order
-/// [`assemble_robustness`] indexes back into.
-fn faulty_jobs(
-    cells: &[ServiceCell],
-    scenarios: &[FaultScenario],
-) -> Vec<(ServiceCell, FaultProfile)> {
-    cells
-        .iter()
-        .flat_map(|cell| scenarios.iter().map(|s| (*cell, s.profile)))
-        .collect()
-}
-
-/// Folds baseline and faulty runs into the scored grid; shared by the scoped
-/// and pooled execution paths so their reports agree structurally by
-/// construction.
+/// Folds baseline and faulty runs into the scored grid; `faulty` holds one
+/// run per (cell × scenario), scenario innermost.
 fn assemble_robustness(
     cells: &[ServiceCell],
     scenarios: &[FaultScenario],
@@ -530,14 +499,6 @@ mod tests {
         let reference = serde_json::to_string(&sequential).unwrap();
         assert_eq!(reference, serde_json::to_string(&threaded).unwrap());
         assert_eq!(reference, serde_json::to_string(&auto).unwrap());
-        let pool = WorkerPool::new(2);
-        let pooled =
-            run_robustness_matrix_on(&pool, &schedulers, &processes, &loads, &scenarios, &base);
-        assert_eq!(
-            reference,
-            serde_json::to_string(&pooled).unwrap(),
-            "the pool-backed grid diverged"
-        );
         let rerun = run_robustness_matrix(
             Parallelism::Auto,
             &schedulers,

@@ -22,22 +22,22 @@
 //!   "least-loaded" snapshots) and routed/forwarded arrivals flow forward to
 //!   the shards that will admit them.  Within an epoch every shard runs
 //!   independently — and, because routing is a pure function of barrier
-//!   snapshots and execution order is restored by shard index, the fleet
+//!   snapshots and the snapshots are folded in shard-index order, the fleet
 //!   output is **byte-identical** across
 //!   `Parallelism::{Sequential, Threads, Auto}` and from run to run.
-//! * **Persistent shard-pinned workers.**  [`FleetEngine::run`] (and
-//!   [`run_fleet`]) execute epochs on a spawn-once [`WorkerPool`]: each pool
-//!   worker *takes ownership* of its shards (worker `w` owns shards `w`,
+//! * **Two execution paths.**  [`FleetEngine::advance_epoch`] is the
+//!   sequential reference: one epoch on the calling thread, shard by shard.
+//!   Every multi-worker run ([`FleetEngine::run`], [`run_fleet`],
+//!   [`FleetEngine::run_on`]) executes on a spawn-once [`WorkerPool`]: each
+//!   pool worker *takes ownership* of its shards (worker `w` owns shards `w`,
 //!   `w + workers`, …) for the whole run, so a shard spine crosses threads
 //!   zero times instead of once per epoch and stays cache-warm.  The barrier
 //!   is a lightweight rendezvous ([`EpochSync`]: one `Release` generation
 //!   bump + park/unpark countdown) and all router↔shard traffic moves through
-//!   preallocated, double-buffered [`ShardMailbox`]es — arrival batches in,
-//!   one atomic completion counter out, no locks on the event hot path and no
-//!   per-epoch allocation after the high-water mark.
-//!   [`FleetEngine::advance_epoch`] keeps the scoped
-//!   [`parallel_map_owned`] fan-out as the reference implementation the
-//!   pooled path is property-tested against.
+//!   one preallocated [`ShardMailbox`] per shard — an arrival batch in, one
+//!   atomic completion counter out, no locks on the event hot path and no
+//!   per-epoch allocation after the high-water mark.  The pooled path is
+//!   property-tested byte-identical against the sequential reference.
 //! * **Mergeable metrics.**  [`FleetEngine::report`] folds the per-shard
 //!   accumulators with [`Welford::merge`] (exact moments) and
 //!   [`LogHistogram::merge`] (tail quantiles) into one fleet-wide
@@ -74,6 +74,7 @@ use std::thread::Thread;
 
 use serde::{Deserialize, Serialize};
 use versaslot_sim::fault::{FaultProfile, FaultSchedule, FaultStats};
+use versaslot_sim::rng::splitmix64;
 use versaslot_sim::{
     merged_summary, LogHistogram, SimDuration, SimTime, Summary, Welford, WindowSummary,
 };
@@ -81,7 +82,7 @@ use versaslot_workload::benchmarks::BenchmarkApp;
 use versaslot_workload::{AppArrival, ArrivalDriver, ArrivalProcess, Placement, ShardRouter};
 
 use crate::config::SystemConfig;
-use crate::par::{parallel_map_owned, Parallelism, WorkerPool};
+use crate::par::{Parallelism, WorkerPool};
 use crate::policy::Policy;
 use crate::runner::SchedulerKind;
 use crate::service::{ServiceConfig, ServiceReport, ServiceRunner, StopCondition};
@@ -256,17 +257,15 @@ impl FleetConfig {
             .map(|profile| profile.with_seed(profile.seed ^ self.shard_seed(shard)))
     }
 
-    /// The deterministic seed of shard `shard` (SplitMix64 mix of the fleet
-    /// seed and the shard index).  Drives the shard's timeline-reservoir
-    /// sampling and, under [`FleetWorkload::IndependentPerShard`], its whole
-    /// arrival stream.
+    /// The deterministic seed of shard `shard`: output `shard + 1` of a
+    /// SplitMix64 stream seeded with the fleet seed.  Drives the shard's
+    /// timeline-reservoir sampling and, under
+    /// [`FleetWorkload::IndependentPerShard`], its whole arrival stream.
     pub fn shard_seed(&self, shard: usize) -> u64 {
-        let mut x = self
-            .seed
-            .wrapping_add((shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        splitmix64(
+            self.seed
+                .wrapping_add((shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        )
     }
 
     /// The [`ServiceConfig`] shard `shard` runs under: the fleet parameters
@@ -300,23 +299,36 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Runs this shard's slice of one epoch: a `run_to_barrier` segment, or —
-    /// on the final epoch — the plain drive to the horizon stop plus the
-    /// window flush, so a segmented run is byte-identical to an unsegmented
-    /// one.  Shared verbatim by the scoped and pooled execution paths.
-    fn run_epoch(&mut self, barrier: SimTime, is_final: bool) {
+    /// Runs this shard's slice of one epoch — shared by the sequential
+    /// reference and the pooled workers — and returns its completion counter
+    /// for the barrier snapshot.  The shard admits (drains) `arrivals`, then
+    /// runs a `run_to_barrier` segment, or — on the final epoch — the plain
+    /// drive to the horizon stop plus the window flush, so a segmented run is
+    /// byte-identical to an unsegmented one.
+    fn run_epoch(
+        &mut self,
+        arrivals: &mut Vec<AppArrival>,
+        barrier: SimTime,
+        is_final: bool,
+    ) -> u64 {
         let ShardState {
             runner,
             policy,
             windows,
             ..
         } = self;
+        // Self-generating shards (`IndependentPerShard`) never receive a
+        // routed batch, and their runners accept none.
+        if !arrivals.is_empty() {
+            runner.enqueue_arrivals(arrivals.drain(..));
+        }
         if is_final {
             runner.drive(policy.as_mut(), &mut |w| windows.push(*w));
             runner.flush_windows(&mut |w| windows.push(*w));
         } else {
             runner.run_to_barrier(policy.as_mut(), barrier, &mut |w| windows.push(*w));
         }
+        runner.completions()
     }
 }
 
@@ -338,24 +350,22 @@ const CMD_SHUTDOWN: u8 = 2;
 
 /// Preallocated router↔shard exchange buffers of one shard in a pooled run.
 ///
-/// The two `inbox` buffers are **double-buffered by epoch parity**: the
-/// driver fills buffer `g % 2` before publishing generation `g + 1`, the
-/// pinned worker drains exactly that buffer, and both sides keep the `Vec`s'
-/// high-water capacity (`clear`/`drain`, never drop) so steady-state epochs
-/// allocate nothing.  Strict barrier alternation means each `Mutex` is always
-/// uncontended — it exists to stay inside `forbid(unsafe_code)` and to keep
-/// the door open for routing epoch `N + 1` while the shards still run epoch
-/// `N`.  Completions flow the other way through one atomic, the only
-/// shard→router exchange a barrier needs.
+/// The driver fills `inbox` only while every worker waits at the barrier,
+/// and the pinned worker drains it only after the next generation is
+/// published, so the `Mutex` is never contended — it exists to stay inside
+/// `forbid(unsafe_code)`.  Both sides keep the `Vec`'s high-water capacity
+/// (`extend`/`drain`, never drop), so steady-state epochs allocate nothing.
+/// Completions flow the other way through one atomic, the only shard→router
+/// exchange a barrier needs.
 pub struct ShardMailbox {
-    inbox: [Mutex<Vec<AppArrival>>; 2],
+    inbox: Mutex<Vec<AppArrival>>,
     completions: AtomicU64,
 }
 
 impl ShardMailbox {
     fn new() -> Self {
         ShardMailbox {
-            inbox: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
+            inbox: Mutex::new(Vec::new()),
             completions: AtomicU64::new(0),
         }
     }
@@ -485,7 +495,6 @@ impl FleetSession {
                 return;
             }
             let barrier = SimTime::from_micros(self.sync.barrier_micros.load(Ordering::Relaxed));
-            let phase = ((generation - 1) % 2) as usize;
             // A panicking shard must not leave the driver parked forever: the
             // worker still acknowledges the barrier and the driver re-panics
             // on the poisoned flag, after which the session guard shuts the
@@ -493,14 +502,9 @@ impl FleetSession {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 for shard in shards.iter_mut() {
                     let mailbox = &self.mail[shard.index];
-                    {
-                        let mut inbox = mailbox.inbox[phase].lock().expect("inbox poisoned");
-                        shard.runner.enqueue_arrivals(inbox.drain(..));
-                    }
-                    shard.run_epoch(barrier, command == CMD_FINAL);
-                    mailbox
-                        .completions
-                        .store(shard.runner.completions(), Ordering::Release);
+                    let mut inbox = mailbox.inbox.lock().expect("inbox poisoned");
+                    let completions = shard.run_epoch(&mut inbox, barrier, command == CMD_FINAL);
+                    mailbox.completions.store(completions, Ordering::Release);
                 }
             }));
             if outcome.is_err() {
@@ -767,42 +771,25 @@ impl FleetEngine {
         )
     }
 
-    /// Runs one epoch on **scoped** threads: delivers due cross-shard messages
-    /// and newly routed arrivals, executes every shard up to the next barrier
-    /// via [`parallel_map_owned`], then exchanges barrier snapshots.  Returns
-    /// `false` once the horizon has been reached (further calls are no-ops).
-    ///
-    /// This is the reference implementation of an epoch — it pays a thread
-    /// spawn/join cycle per call; [`FleetEngine::run`] executes whole runs on
-    /// a persistent [`WorkerPool`] instead and is property-tested
-    /// byte-identical against this path.
-    pub fn advance_epoch(&mut self, parallelism: Parallelism) -> bool {
+    /// Runs one epoch sequentially on the calling thread — the reference
+    /// every pooled run is property-tested byte-identical against.  Routes
+    /// the epoch's arrivals and due cross-shard messages, runs every shard in
+    /// index order up to the next barrier, and exchanges barrier snapshots.
+    /// Returns `false` once the horizon has been reached (further calls are
+    /// no-ops).
+    pub fn advance_epoch(&mut self) -> bool {
         if self.finished {
             return false;
         }
         let (barrier, is_final) = self.next_barrier();
-
         if self.driver.is_some() {
             self.route_epoch(barrier);
-            for (shard, batch) in self.shards.iter_mut().zip(self.due.iter_mut()) {
-                shard.runner.enqueue_arrivals(batch.drain(..));
-            }
         }
-
-        // Fan the shards out: each epoch segment is run_to_barrier; the final
-        // epoch is a plain drive to the Horizon stop plus the window flush, so
-        // a shard's segmented run is byte-identical to an unsegmented one.
-        let shard_states = std::mem::take(&mut self.shards);
-        self.shards = parallel_map_owned(parallelism, shard_states, |mut shard| {
-            shard.run_epoch(barrier, is_final);
-            shard
-        });
-
-        // Barrier snapshot exchange: completion counters flow back to the
-        // router for the next epoch's least-loaded / spillover decisions.
-        for shard in &self.shards {
-            self.router
-                .record_completions(shard.index, shard.runner.completions());
+        for (shard, batch) in self.shards.iter_mut().zip(&mut self.due) {
+            let completions = shard.run_epoch(batch, barrier, is_final);
+            // Barrier snapshot exchange: completion counters flow back to the
+            // router for the next epoch's least-loaded / spillover decisions.
+            self.router.record_completions(shard.index, completions);
         }
         self.epochs_run += 1;
         self.finished = is_final;
@@ -811,15 +798,14 @@ impl FleetEngine {
 
     /// Runs the fleet to its horizon.  With more than one worker's worth of
     /// parallelism this builds a persistent [`WorkerPool`] sized **once** by
-    /// [`Parallelism::pool_workers`] and drives it via
-    /// [`FleetEngine::run_on`]; otherwise it loops the sequential path.
+    /// [`Parallelism::workers`] and drives it via [`FleetEngine::run_on`];
+    /// otherwise it loops the sequential [`FleetEngine::advance_epoch`].
     pub fn run(&mut self, parallelism: Parallelism) {
-        let workers = parallelism.pool_workers(self.shards.len());
+        let workers = parallelism.workers(self.shards.len());
         if workers <= 1 {
-            while self.advance_epoch(Parallelism::Sequential) {}
+            while self.advance_epoch() {}
         } else {
-            let pool = WorkerPool::new(workers);
-            self.run_on(&pool);
+            self.run_on(&WorkerPool::new(workers));
         }
     }
 
@@ -835,12 +821,13 @@ impl FleetEngine {
     /// One call is one **session**: the shards move into per-shard hand-off
     /// cells, each participating worker takes pinned ownership of shards
     /// `w, w + workers, …` for every epoch of the call, and the driver
-    /// rendezvouses with them through [`EpochSync`] and the double-buffered
+    /// rendezvouses with them through [`EpochSync`] and the per-shard
     /// [`ShardMailbox`]es.  At the end of the call (any exit path, including
     /// an unwinding driver) the session shuts down and the workers hand every
     /// shard back, so the engine can be resumed — on a pool, or sequentially —
     /// and the pool can be dropped mid-run and still joins cleanly.  With at
-    /// most one participating worker the sequential path runs inline.
+    /// most one participating worker it runs [`FleetEngine::advance_epoch`]
+    /// inline.
     pub fn run_epochs_on(&mut self, pool: &WorkerPool, max_epochs: u64) -> bool {
         if self.finished {
             return false;
@@ -848,7 +835,7 @@ impl FleetEngine {
         let workers = pool.workers().min(self.shards.len());
         if workers <= 1 {
             for _ in 0..max_epochs {
-                if !self.advance_epoch(Parallelism::Sequential) {
+                if !self.advance_epoch() {
                     break;
                 }
             }
@@ -869,7 +856,6 @@ impl FleetEngine {
             active: true,
         };
 
-        let mut phase = 0usize;
         for _ in 0..max_epochs {
             if self.finished {
                 break;
@@ -878,8 +864,7 @@ impl FleetEngine {
             if self.driver.is_some() {
                 self.route_epoch(barrier);
                 for (mailbox, batch) in session.mail.iter().zip(self.due.iter_mut()) {
-                    let mut inbox = mailbox.inbox[phase].lock().expect("inbox poisoned");
-                    inbox.clear();
+                    let mut inbox = mailbox.inbox.lock().expect("inbox poisoned");
                     inbox.extend(batch.drain(..));
                 }
             }
@@ -893,12 +878,11 @@ impl FleetEngine {
                 "a fleet worker panicked while running its shards"
             );
             // Barrier snapshot exchange, in shard-index order — identical to
-            // the scoped path's fold.
+            // the sequential reference's fold.
             for (index, mailbox) in session.mail.iter().enumerate() {
                 self.router
                     .record_completions(index, mailbox.completions.load(Ordering::Acquire));
             }
-            phase ^= 1;
             self.epochs_run += 1;
             self.finished = is_final;
         }
@@ -930,7 +914,7 @@ impl FleetEngine {
     /// delivery batches in `self.due` in (time, id) order.  Deliveries whose
     /// time lands past the barrier stay in flight (`deferred`) until their
     /// epoch comes.  Touches no shard state, so it runs no matter who owns
-    /// the shards — scoped threads, pinned pool workers, or the caller.
+    /// the shards — pinned pool workers or the calling thread.
     fn route_epoch(&mut self, barrier: SimTime) {
         let Self {
             config,
@@ -1096,7 +1080,7 @@ mod tests {
     #[test]
     fn fleet_run_is_consistent_and_allocation_free() {
         let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, fleet_config());
-        while engine.advance_epoch(Parallelism::Sequential) {}
+        while engine.advance_epoch() {}
         // 400 s of 90 s epochs: four full barriers plus the partial fifth.
         assert_eq!(engine.epochs_run(), 5);
         let report = engine.report();
@@ -1222,6 +1206,11 @@ mod tests {
         let kind = SchedulerKind::VersaSlotBigLittle;
         let fleet = run_fleet(Parallelism::Sequential, kind, config);
         assert_eq!(fleet.arrivals_generated, 0, "shards self-generate");
+        assert_eq!(
+            serde_json::to_string(&fleet).unwrap(),
+            serde_json::to_string(&run_fleet(Parallelism::Threads(2), kind, config)).unwrap(),
+            "the pooled run diverged"
+        );
         for (shard, shard_report) in fleet.shards.iter().enumerate() {
             // The same configuration, run unsegmented by a standalone runner.
             let mut policy = kind.policy().expect("non-baseline");
@@ -1256,7 +1245,7 @@ mod tests {
             .with_epoch(SimDuration::from_secs(60));
         let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, config);
         for _ in 0..8 {
-            assert!(engine.advance_epoch(Parallelism::Sequential));
+            assert!(engine.advance_epoch());
         }
         let warmed = engine.shard_scratch_allocs();
         let warmed_caps = engine.arrival_scratch_capacities();
@@ -1264,7 +1253,7 @@ mod tests {
             warmed_caps.iter().all(|&capacity| capacity > 0),
             "warm-up routed nothing: {warmed_caps:?}"
         );
-        while engine.advance_epoch(Parallelism::Sequential) {}
+        while engine.advance_epoch() {}
         assert_eq!(
             engine.shard_scratch_allocs(),
             warmed,
@@ -1280,9 +1269,10 @@ mod tests {
 
     #[test]
     fn pooled_fleet_run_is_consistent_and_allocation_free() {
-        // The pooled path must uphold the same invariants the scoped path
-        // does: admission accounting balances and no shard's event queue ever
-        // grows, even with heavy spillover traffic through the mailboxes.
+        // The pooled path must uphold the same invariants the sequential
+        // reference does: admission accounting balances and no shard's event
+        // queue ever grows, even with heavy spillover traffic through the
+        // mailboxes.
         let config = fleet_config().with_spillover(2, SimDuration::from_secs(10));
         let pool = WorkerPool::new(4);
         let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, config);
@@ -1307,7 +1297,7 @@ mod tests {
         let kind = SchedulerKind::VersaSlotBigLittle;
         let reference = {
             let mut engine = FleetEngine::new(kind, fleet_config());
-            while engine.advance_epoch(Parallelism::Sequential) {}
+            while engine.advance_epoch() {}
             serde_json::to_string(&engine.report()).unwrap()
         };
         let mut engine = FleetEngine::new(kind, fleet_config());
@@ -1327,11 +1317,11 @@ mod tests {
     }
 
     proptest! {
-        /// The pooled epoch-barrier protocol is byte-identical to the scoped
-        /// reference implementation across shard counts (including more
-        /// shards than workers), epoch lengths and fault seeds.
+        /// The pooled epoch-barrier protocol is byte-identical to the
+        /// sequential reference across shard counts (including more shards
+        /// than workers), epoch lengths and fault seeds.
         #[test]
-        fn pooled_fleet_matches_scoped_fleet(
+        fn pooled_fleet_matches_sequential_fleet(
             shards in prop::sample::select(vec![1usize, 2, 7]),
             epoch_secs in prop::sample::select(vec![25u64, 40, 60]),
             fault_seed in 0u64..1_000,
@@ -1347,16 +1337,16 @@ mod tests {
                 .with_faults(profile)
                 .with_seed(fault_seed.wrapping_mul(0x9E37_79B9).wrapping_add(7));
             let kind = SchedulerKind::VersaSlotBigLittle;
-            let mut scoped = FleetEngine::new(kind, config);
-            while scoped.advance_epoch(Parallelism::Threads(2)) {}
+            let mut sequential = FleetEngine::new(kind, config);
+            while sequential.advance_epoch() {}
             let pool = WorkerPool::new(2);
             let mut pooled = FleetEngine::new(kind, config);
             pooled.run_on(&pool);
             prop_assert_eq!(
-                serde_json::to_string(&scoped.report()).unwrap(),
+                serde_json::to_string(&sequential.report()).unwrap(),
                 serde_json::to_string(&pooled.report()).unwrap()
             );
-            prop_assert_eq!(scoped.fault_stats(), pooled.fault_stats());
+            prop_assert_eq!(sequential.fault_stats(), pooled.fault_stats());
         }
     }
 
@@ -1371,7 +1361,7 @@ mod tests {
             SchedulerKind::VersaSlotBigLittle,
             fleet_config().with_faults(FaultProfile::new(5)),
         );
-        while engine.advance_epoch(Parallelism::Sequential) {}
+        while engine.advance_epoch() {}
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&engine.report()).unwrap(),
@@ -1393,7 +1383,7 @@ mod tests {
             .with_faults(profile);
         let run = |parallelism| {
             let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, config);
-            while engine.advance_epoch(parallelism) {}
+            engine.run(parallelism);
             engine
         };
         let sequential = run(Parallelism::Sequential);

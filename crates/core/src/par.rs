@@ -1,35 +1,33 @@
-//! Deterministic parallel execution: scoped fan-out and the persistent
+//! Deterministic parallel execution: one-shot fan-out and the persistent
 //! [`WorkerPool`].
 //!
-//! Two execution substrates live here, sharing one determinism contract
-//! (results are always collected in **input order**, so any parallel run is
-//! byte-identical to a sequential one):
+//! Two execution substrates live here, one per job shape.  Both share one
+//! determinism contract: a parallel run is byte-identical to a
+//! [`Parallelism::Sequential`] one.
 //!
-//! * **Scoped fan-out** — [`parallel_map`] / [`parallel_map_owned`] spawn
-//!   scoped worker threads for the duration of one job list and join them
-//!   before returning.  Right for one-shot sweeps; wrong for anything that
-//!   rendezvouses repeatedly, because every call pays a full thread
-//!   spawn/join cycle.
+//! * **One-shot fan-out** — [`parallel_map`] spawns scoped worker threads for
+//!   the duration of one borrowed job list, collects the results in **input
+//!   order** and joins the workers before returning.  Every sweep uses it:
+//!   the figure matrices, the service matrix and the robustness grid.
 //! * **The persistent pool** — [`WorkerPool`] spawns its workers **once** and
-//!   keeps them alive until the pool is dropped.  Work arrives over per-worker
-//!   channels; between jobs the workers block on their channel, costing
-//!   nothing.  The fleet engine pins one long-lived worker to each group of
-//!   shards for a whole run (see `core::fleet`), and the matrix sweeps reuse
-//!   one pool across hundreds of cells via [`WorkerPool::map`].
+//!   keeps them alive until the pool is dropped.  Jobs arrive over
+//!   per-worker channels; between jobs the workers block on their channel,
+//!   costing nothing.  The fleet engine pins one long-lived worker to each
+//!   group of shards for a whole run (see `core::fleet`), so a run with
+//!   thousands of epoch barriers pays no thread spawn per epoch.
 //!
 //! # Pool lifecycle
 //!
 //! 1. **Spawn-once.**  [`WorkerPool::new`] spawns `workers` OS threads.
-//!    Callers size the pool with [`Parallelism::pool_workers`] — for
-//!    [`Parallelism::Auto`] that is `min(jobs, available cores)` computed
-//!    **once** at construction, never re-derived per epoch or per call.
-//! 2. **Sessions.**  [`WorkerPool::submit`] hands a worker a long-running job
-//!    (the fleet engine submits one *session* per worker that owns its pinned
-//!    shards across every epoch); [`WorkerPool::map`] runs a whole job list
-//!    and blocks until it completes.  Rendezvous inside a session is the
+//!    [`WorkerPool::for_parallelism`] sizes the pool with
+//!    [`Parallelism::workers`] — for [`Parallelism::Auto`] that is
+//!    `min(jobs, available cores)`, computed **once** at construction.
+//! 2. **Sessions.**  [`WorkerPool::submit`] hands one worker a job; the fleet
+//!    engine submits one long-running *session* per worker that owns its
+//!    pinned shards across every epoch.  Rendezvous inside a session is the
 //!    caller's protocol — the fleet uses an atomic epoch counter plus
-//!    [`std::thread::park`]/`unpark` and double-buffered mailboxes, so its
-//!    barrier costs two parks per epoch instead of K thread spawns.
+//!    [`std::thread::park`]/`unpark` and one mailbox per shard, so its barrier
+//!    costs two parks per epoch instead of K thread spawns.
 //! 3. **Shutdown.**  Dropping the pool closes every channel; workers drain
 //!    what they hold and exit, and the drop joins them.  A panicking job never
 //!    kills its worker (the pool catches it and the submitting side observes
@@ -38,28 +36,32 @@
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
 
 /// How a job list is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// One job at a time on the calling thread.
+    /// One job at a time on the calling thread: the reference every parallel
+    /// run must match byte for byte.
     Sequential,
-    /// Scoped worker threads, one per available core (capped by the job count).
+    /// One worker per available core (capped by the job count).
     #[default]
     Auto,
-    /// Exactly this many scoped worker threads (capped by the job count).  The
-    /// determinism tests use it to force the multi-threaded path even on a
-    /// single-core machine.
+    /// Exactly this many workers (capped by the job count, at least one).
+    /// The determinism tests use it to force the multi-threaded path even on
+    /// a single-core machine.
     Threads(usize),
 }
 
 impl Parallelism {
-    /// Number of worker threads for `jobs` jobs.
-    fn workers(self, jobs: usize) -> usize {
+    /// Number of workers for `jobs` parallel units (sweep items, fleet
+    /// shards).  [`parallel_map`] sizes each sweep with it, and a fleet run
+    /// sizes its [`WorkerPool`] with it once, so under [`Parallelism::Auto`]
+    /// the core count is probed once per run, not once per epoch.
+    pub fn workers(self, jobs: usize) -> usize {
         match self {
             Parallelism::Sequential => 1,
             Parallelism::Auto => std::thread::available_parallelism()
@@ -68,18 +70,6 @@ impl Parallelism {
                 .min(jobs),
             Parallelism::Threads(n) => n.max(1).min(jobs),
         }
-    }
-
-    /// Number of **persistent** workers a [`WorkerPool`] should be built with
-    /// for `jobs` parallel units (fleet shards, matrix cells).
-    ///
-    /// Identical sizing to the scoped fan-out, but intended to be called
-    /// exactly once at pool construction: under [`Parallelism::Auto`] the
-    /// `available_parallelism()` probe happens here and never again, where the
-    /// scoped path re-derives it on every call (once per epoch, in the old
-    /// fleet loop).
-    pub fn pool_workers(self, jobs: usize) -> usize {
-        self.workers(jobs)
     }
 }
 
@@ -130,66 +120,6 @@ where
     results.into_iter().map(|(_, result)| result).collect()
 }
 
-/// [`parallel_map`] for **owned** items: consumes `items` and passes each by
-/// value, returning the results in input order.
-///
-/// The fleet engine's reference (scoped) execution path needs this shape —
-/// each shard *is* the mutable state being worked on (a whole simulator
-/// spine), so the closure must own it for the duration of the epoch and hand
-/// it back inside the result.  The sequential path is a plain
-/// `into_iter().map()`; the parallel path parks each item in a one-shot
-/// `Mutex<Option<T>>` cell so worker threads can claim items by atomic cursor
-/// without unsafe code.  The same determinism contract as [`parallel_map`]
-/// applies: results are reordered by input index, so output is independent of
-/// scheduling.
-pub fn parallel_map_owned<T, R, F>(parallelism: Parallelism, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = parallelism.workers(items.len());
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-
-    let cells: Vec<Mutex<Option<T>>> = items
-        .into_iter()
-        .map(|item| Mutex::new(Some(item)))
-        .collect();
-    let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(cells.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(idx) else {
-                        break;
-                    };
-                    let item = cell
-                        .lock()
-                        .expect("worker thread panicked while holding an item cell")
-                        .take()
-                        .expect("the atomic cursor claims each item exactly once");
-                    local.push((idx, f(item)));
-                }
-                collected
-                    .lock()
-                    .expect("worker thread panicked while holding the result lock")
-                    .append(&mut local);
-            });
-        }
-    });
-
-    let mut results = collected
-        .into_inner()
-        .expect("worker thread panicked while holding the result lock");
-    results.sort_by_key(|(idx, _)| *idx);
-    results.into_iter().map(|(_, result)| result).collect()
-}
-
 /// A job queued onto a pool worker.
 type Job = Box<dyn FnOnce(usize) + Send + 'static>;
 
@@ -201,40 +131,10 @@ type Job = Box<dyn FnOnce(usize) + Send + 'static>;
 /// addressed to a **specific** worker ([`WorkerPool::submit`]) so callers can
 /// pin long-lived state — the fleet engine pins each shard's spine to one
 /// worker for a whole run, moving it across threads zero times instead of
-/// once per epoch.  [`WorkerPool::map`] layers the familiar
-/// input-order-deterministic map on top for stateless job lists.
+/// once per epoch.
 pub struct WorkerPool {
     senders: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
-}
-
-/// Shared state of one [`WorkerPool::map`] call.
-struct MapShared<T, R, F> {
-    f: F,
-    cursor: AtomicUsize,
-    items: Vec<Mutex<Option<T>>>,
-    results: Vec<Mutex<Option<R>>>,
-    remaining: AtomicUsize,
-    poisoned: AtomicBool,
-    driver: std::thread::Thread,
-}
-
-/// Counts a map participant as finished when dropped — including by unwind,
-/// so a panicking job still wakes the driver instead of deadlocking it.
-struct MapCountdown<'a> {
-    remaining: &'a AtomicUsize,
-    poisoned: &'a AtomicBool,
-    driver: &'a std::thread::Thread,
-}
-
-impl Drop for MapCountdown<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.poisoned.store(true, Ordering::Release);
-        }
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
-        self.driver.unpark();
-    }
 }
 
 impl WorkerPool {
@@ -251,8 +151,9 @@ impl WorkerPool {
                     while let Ok(job) = rx.recv() {
                         // A panicking job must not take the worker down with
                         // it: the submitting side observes the failure through
-                        // the job's own completion accounting (countdown
-                        // guards), and the worker lives on for the next job.
+                        // the job's own completion accounting (the fleet's
+                        // barrier acknowledgement), and the worker lives on
+                        // for the next job.
                         let _ = catch_unwind(AssertUnwindSafe(|| job(index)));
                     }
                 })
@@ -263,10 +164,10 @@ impl WorkerPool {
         WorkerPool { senders, handles }
     }
 
-    /// Builds a pool sized by [`Parallelism::pool_workers`] for `jobs`
-    /// parallel units.
+    /// Builds a pool sized by [`Parallelism::workers`] for `jobs` parallel
+    /// units.
     pub fn for_parallelism(parallelism: Parallelism, jobs: usize) -> Self {
-        WorkerPool::new(parallelism.pool_workers(jobs))
+        WorkerPool::new(parallelism.workers(jobs))
     }
 
     /// Number of persistent workers.
@@ -285,86 +186,6 @@ impl WorkerPool {
             .send(Box::new(job))
             .expect("pool workers outlive the pool handle");
     }
-
-    /// Applies `f` to every item, on the persistent workers, returning results
-    /// in input order — [`parallel_map_owned`] semantics without the per-call
-    /// thread spawn/join cycle, so repeated sweeps (service matrices,
-    /// robustness grids) amortise thread creation across every call.
-    ///
-    /// Items are claimed by atomic cursor, results are slotted by input index,
-    /// and the caller parks until the last participant counts down.  With one
-    /// worker (or at most one item) the map runs inline on the caller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any invocation of `f` panicked (the pool itself survives and
-    /// stays usable).
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        if self.workers() <= 1 || items.len() <= 1 {
-            return items.into_iter().map(f).collect();
-        }
-        let participants = self.workers().min(items.len());
-        let len = items.len();
-        let shared = Arc::new(MapShared {
-            f,
-            cursor: AtomicUsize::new(0),
-            items: items
-                .into_iter()
-                .map(|item| Mutex::new(Some(item)))
-                .collect(),
-            results: (0..len).map(|_| Mutex::new(None)).collect(),
-            remaining: AtomicUsize::new(participants),
-            poisoned: AtomicBool::new(false),
-            driver: std::thread::current(),
-        });
-        for worker in 0..participants {
-            let shared = Arc::clone(&shared);
-            self.submit(worker, move |_| {
-                let _countdown = MapCountdown {
-                    remaining: &shared.remaining,
-                    poisoned: &shared.poisoned,
-                    driver: &shared.driver,
-                };
-                loop {
-                    let idx = shared.cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = shared.items.get(idx) else {
-                        break;
-                    };
-                    let item = cell
-                        .lock()
-                        .expect("item cells are touched by exactly one claimant")
-                        .take()
-                        .expect("the atomic cursor claims each item exactly once");
-                    let result = (shared.f)(item);
-                    *shared.results[idx]
-                        .lock()
-                        .expect("result cells are touched by exactly one claimant") = Some(result);
-                }
-            });
-        }
-        while shared.remaining.load(Ordering::Acquire) != 0 {
-            std::thread::park();
-        }
-        assert!(
-            !shared.poisoned.load(Ordering::Acquire),
-            "a WorkerPool::map job panicked"
-        );
-        shared
-            .results
-            .iter()
-            .map(|cell| {
-                cell.lock()
-                    .expect("all workers have finished")
-                    .take()
-                    .expect("every claimed item produced a result")
-            })
-            .collect()
-    }
 }
 
 impl Drop for WorkerPool {
@@ -382,6 +203,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn results_are_in_input_order() {
@@ -421,31 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn owned_map_matches_borrowed_map_across_modes() {
-        // Non-Clone, Send-only payload: exactly the fleet-shard shape.
-        struct Shard(u64);
-        let make = || (0..41).map(Shard).collect::<Vec<_>>();
-        let f = |shard: Shard| shard.0.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(11);
-        let sequential = parallel_map_owned(Parallelism::Sequential, make(), f);
-        for mode in [
-            Parallelism::Auto,
-            Parallelism::Threads(2),
-            Parallelism::Threads(5),
-        ] {
-            assert_eq!(parallel_map_owned(mode, make(), f), sequential, "{mode:?}");
-        }
-        assert_eq!(
-            sequential,
-            make()
-                .iter()
-                .map(|s| s.0.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(11))
-                .collect::<Vec<_>>()
-        );
-        let none: Vec<Shard> = Vec::new();
-        assert!(parallel_map_owned(Parallelism::Auto, none, f).is_empty());
-    }
-
-    #[test]
     fn uneven_job_durations_balance() {
         // Long jobs first: dynamic claiming must still return ordered results.
         let items: Vec<u64> = (0..16).rev().collect();
@@ -457,28 +254,13 @@ mod tests {
     }
 
     #[test]
-    fn pool_map_matches_scoped_map_across_worker_counts() {
-        let f = |x: u64| x.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(11);
-        let items = || (0..37).collect::<Vec<u64>>();
-        let sequential = parallel_map_owned(Parallelism::Sequential, items(), f);
-        for workers in [1, 2, 3, 8] {
-            let pool = WorkerPool::new(workers);
-            assert_eq!(pool.map(items(), f), sequential, "{workers} workers");
-            // Reuse: a second map on the same (still-alive) workers agrees too.
-            assert_eq!(pool.map(items(), f), sequential, "{workers} workers, reuse");
-        }
-        let pool = WorkerPool::new(3);
-        assert!(pool.map(Vec::new(), f).is_empty());
-    }
-
-    #[test]
     fn pool_sizing_derives_from_parallelism_once() {
-        assert_eq!(Parallelism::Sequential.pool_workers(8), 1);
-        assert_eq!(Parallelism::Threads(4).pool_workers(8), 4);
-        assert_eq!(Parallelism::Threads(4).pool_workers(2), 2, "capped by jobs");
-        assert_eq!(Parallelism::Threads(0).pool_workers(8), 1, "at least one");
+        assert_eq!(Parallelism::Sequential.workers(8), 1);
+        assert_eq!(Parallelism::Threads(4).workers(8), 4);
+        assert_eq!(Parallelism::Threads(4).workers(2), 2, "capped by jobs");
+        assert_eq!(Parallelism::Threads(0).workers(8), 1, "at least one");
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        assert_eq!(Parallelism::Auto.pool_workers(usize::MAX), cores);
+        assert_eq!(Parallelism::Auto.workers(usize::MAX), cores);
         assert_eq!(
             WorkerPool::for_parallelism(Parallelism::Threads(5), 3).workers(),
             3
@@ -488,20 +270,20 @@ mod tests {
     #[test]
     fn pool_survives_a_panicking_job_and_joins_cleanly() {
         let pool = WorkerPool::new(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.map((0..16).collect::<Vec<u64>>(), |x| {
-                if x == 7 {
-                    panic!("job 7 exploded");
-                }
-                x * 2
-            })
-        }));
-        assert!(result.is_err(), "the panic must propagate to the caller");
-        // The workers survived: the pool still maps correctly afterwards...
-        let doubled = pool.map((0..16).collect::<Vec<u64>>(), |x| x * 2);
-        assert_eq!(doubled, (0..16).map(|x| x * 2).collect::<Vec<_>>());
-        // ...and dropping it joins without hanging (the test finishing is the
-        // assertion).
+        let (tx, rx) = std::sync::mpsc::channel();
+        for worker in 0..pool.workers() {
+            pool.submit(worker, |index| panic!("job on worker {index} exploded"));
+            let tx = tx.clone();
+            pool.submit(worker, move |index| tx.send(index).unwrap());
+        }
+        drop(tx);
+        // Each worker outlived its panicking job and ran the job queued
+        // behind it...
+        let mut survivors: Vec<usize> = rx.iter().collect();
+        survivors.sort_unstable();
+        assert_eq!(survivors, vec![0, 1]);
+        // ...and dropping the pool joins both workers without hanging (the
+        // test finishing is the assertion).
         drop(pool);
     }
 

@@ -90,7 +90,7 @@ impl SchedulerKind {
     /// (exclusive temporal multiplexing bypasses the sharing engine).
     ///
     /// The box is `Send` so a policy can live inside fleet shard state that
-    /// migrates across the `parallel_map_owned` worker threads.
+    /// moves onto a pinned pool worker for a fleet run.
     pub fn policy(&self) -> Option<Box<dyn Policy + Send>> {
         match self {
             SchedulerKind::Baseline => None,

@@ -27,7 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::rng::SimRng;
+use crate::rng::{splitmix64, SimRng};
 use crate::time::{SimDuration, SimTime};
 
 /// Stream ids for per-board failure timers (board `i` uses `BOARD_STREAM + i`).
@@ -410,15 +410,6 @@ fn exp_duration_micros(rng: &mut SimRng, mean_micros: f64) -> SimDuration {
     let factor = -(1.0 - unit).ln();
     let micros = (mean_micros * factor).round();
     SimDuration::from_micros((micros as u64).max(1))
-}
-
-/// The same splitmix64 finalizer the fleet router uses for shard hashing.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 //! rather than an instantaneous teleport.
 
 use serde::{Deserialize, Serialize};
+use versaslot_sim::rng::splitmix64;
 
 use crate::application::{AppArrival, AppId};
 
@@ -41,14 +42,6 @@ impl Placement {
             Placement::LeastLoaded => "least-loaded",
         }
     }
-}
-
-/// SplitMix64 finalizer — a strong, cheap 64-bit mix.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The seeded hash placement: mixes the seed and application id into a shard
@@ -236,6 +229,29 @@ mod tests {
         let mut other = ShardRouter::new(Placement::Hash, 8, 43, None);
         let moved: Vec<usize> = (0..1_000).map(|i| other.route(&arrival(i)).shard).collect();
         assert_ne!(shards, moved, "seed is ignored");
+    }
+
+    #[test]
+    fn hash_shard_golden_values() {
+        // Pinned placements: the fleet's shard assignment (and so every
+        // fleet report) depends on these exact hashes.
+        let cases = [
+            (0u64, 0u32, 1usize, 0usize),
+            (0, 0, 8, 7),
+            (42, 1, 8, 0),
+            (42, 999, 8, 3),
+            (7, 12_345, 5, 1),
+            (0x5EED_F1EE, 3, 4, 3),
+            (u64::MAX, u32::MAX, 7, 5),
+            (1, 2, 1_000, 53),
+        ];
+        for (seed, id, shards, expected) in cases {
+            assert_eq!(
+                hash_shard(seed, AppId(id), shards),
+                expected,
+                "hash_shard({seed}, {id}, {shards})"
+            );
+        }
     }
 
     #[test]
